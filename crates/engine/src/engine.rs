@@ -49,11 +49,15 @@ pub fn certified_key(representative: &TruthTable) -> u128 {
 }
 
 /// The worker-side state of [`Resolution::Certified`]: the shared
-/// bucket resolver plus its latency instrument. `None` everywhere in
+/// bucket resolver plus its latency instruments. `None` everywhere in
 /// digest mode.
 struct CertifiedResolve {
     resolver: Arc<BucketResolver>,
-    resolve_nanos: Arc<LatencyHistogram>,
+    /// Resolves that created a class (the eager walk).
+    walk_nanos: Arc<LatencyHistogram>,
+    /// Resolves that matched a cached representative (the witness
+    /// search), including a walk that lost an insertion race.
+    match_nanos: Arc<LatencyHistogram>,
 }
 
 impl CertifiedResolve {
@@ -62,7 +66,12 @@ impl CertifiedResolve {
     fn resolve(&self, digest: u128, table: &TruthTable) -> (u128, TruthTable) {
         let started = Instant::now();
         let resolved = self.resolver.resolve(digest, table);
-        self.resolve_nanos.record_duration(started.elapsed());
+        let nanos = if resolved.fresh {
+            &self.walk_nanos
+        } else {
+            &self.match_nanos
+        };
+        nanos.record_duration(started.elapsed());
         (
             certified_key(&resolved.representative),
             resolved.representative,
@@ -838,12 +847,14 @@ impl Engine {
             store.for_each(|key, entry| cache.prime(&entry.representative, key));
         }
         let resolver = Arc::new(BucketResolver::new());
-        let resolve_nanos = telemetry.histogram("engine_canon_resolve_nanos");
+        let walk_nanos = telemetry.histogram("engine_canon_walk_nanos");
+        let match_nanos = telemetry.histogram("engine_canon_match_nanos");
         let certified = match cfg.resolution {
             Resolution::Digest => None,
             Resolution::Certified => Some(Arc::new(CertifiedResolve {
                 resolver: Arc::clone(&resolver),
-                resolve_nanos: Arc::clone(&resolve_nanos),
+                walk_nanos,
+                match_nanos,
             })),
         };
         if certified.is_some() && recovery.is_some() {
@@ -1905,6 +1916,34 @@ mod tests {
         // In-memory engine: the store series exist but stay zero.
         assert_eq!(series(&text, "store_journal_records_total"), 0.0);
         assert_eq!(series(&text, "store_recovery_replay_nanos"), 0.0);
+        engine.finish();
+    }
+
+    #[test]
+    fn certified_scrape_splits_walk_and_match_latency() {
+        let fns = workload(5, 6, 4, 0xCA11);
+        let mut engine = Engine::builder()
+            .config(
+                EngineConfig::builder()
+                    .workers(2)
+                    .chunk_size(4)
+                    .cache_capacity(0)
+                    .certified()
+                    .build(),
+            )
+            .build()
+            .unwrap();
+        let telemetry = engine.telemetry();
+        engine.submit_batch(fns);
+        engine.flush();
+        assert!(engine.drain(std::time::Duration::from_secs(30)));
+        let text = telemetry.render_text();
+        // Every class creation is one walk sample, every other member
+        // one match sample.
+        assert_eq!(series(&text, "engine_canon_walk_nanos_count"), 6.0);
+        assert_eq!(series(&text, "engine_canon_match_nanos_count"), 18.0);
+        assert_eq!(series(&text, "engine_canon_walks_total"), 6.0);
+        assert_eq!(series(&text, "engine_canon_matches_total"), 18.0);
         engine.finish();
     }
 

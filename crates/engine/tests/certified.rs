@@ -116,26 +116,53 @@ fn statistical_cross_check_matches_exact_classifier() {
             );
             assert_eq!(report.stats.num_classes, expected.num_classes());
             // The resolver accounted every member: one walk or fallback
-            // per class, one witness match for everyone else. Two
-            // workers racing on a fresh class both walk (the loser's
-            // insert is double-checked away and re-counted as a match),
-            // so only the single-worker run is exact; concurrent runs
-            // bound from below.
+            // per class, one witness match for everyone else.
             let stats = &report.stats;
-            let creations = stats.canon_walks + stats.canon_fallbacks;
             let class_count = expected.num_classes() as u64;
             let member_count = (fns.len() - expected.num_classes()) as u64;
-            if workers == 1 {
-                assert_eq!(creations, class_count, "n={n}");
-                assert_eq!(stats.canon_matches, member_count, "n={n}");
-            } else {
-                assert!(creations >= class_count, "n={n} workers={workers}");
-                assert!(
-                    stats.canon_matches >= member_count,
-                    "n={n} workers={workers}"
-                );
-            }
+            assert_eq!(
+                stats.canon_walks + stats.canon_fallbacks,
+                class_count,
+                "n={n} workers={workers}"
+            );
+            assert_eq!(stats.canon_matches, member_count, "n={n} workers={workers}");
         }
+    }
+}
+
+/// Workers racing on one fresh class: each class's members sit next to
+/// each other in one-function chunks, so concurrent workers walk the
+/// same class at once. Only the walk that inserts the class is counted
+/// (the loser of the race is a match), so `walks + fallbacks` is the
+/// class count at any worker count.
+#[test]
+fn racing_workers_count_each_class_creation_once() {
+    let mut fns = transform_closure_workload(6, 12, 8, 0x2ACE);
+    // Parity's phase variants: one class whose pruned walk blows its
+    // budget, so the fallback counter races too.
+    fns.extend((0..8).map(|v| TruthTable::parity(8).flip_var(v)));
+    for workers in [2usize, 8] {
+        let cfg = EngineConfig::builder()
+            .workers(workers)
+            .chunk_size(1)
+            .cache_capacity(0)
+            .certified()
+            .build();
+        let mut engine = Engine::builder().config(cfg).build().unwrap();
+        engine.submit_batch(fns.iter().cloned());
+        let stats = engine.finish().stats;
+        assert_eq!(stats.num_classes, 13, "workers={workers}");
+        assert_eq!(stats.canon_fallbacks, 1, "workers={workers}");
+        assert_eq!(
+            stats.canon_walks + stats.canon_fallbacks,
+            stats.num_classes as u64,
+            "workers={workers}"
+        );
+        assert_eq!(
+            stats.canon_matches,
+            (fns.len() - stats.num_classes) as u64,
+            "workers={workers}"
+        );
     }
 }
 

@@ -8,8 +8,9 @@
 //! output polarities — `n!·2^n` states, two comparisons each, with O(1)
 //! table updates between states.
 //!
-//! Cost grows as `n!·2^n`: microseconds up to `n = 5`, ~milliseconds at
-//! `n = 6`, ~a second at `n = 8`. Beyond that use
+//! Cost grows as `n!·2^n`: microseconds up to `n = 5`, ~0.1 ms per walk
+//! at `n = 6` (the last single-word arity), tens of milliseconds at
+//! `n = 7` and about half a second at `n = 8`. Beyond that use
 //! [`exact_classify`](crate::exact_classify), which needs no canonical form.
 
 use crate::enumerate::{factorial, gray_flip_bit, plain_changes};

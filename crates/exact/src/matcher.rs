@@ -16,6 +16,7 @@
 //! signature bucket the partial-assignment checks cut the tree quickly.
 
 use facepoint_sig::influence;
+use facepoint_truth::words::{var_mask_word, MAX_VARS};
 use facepoint_truth::{NpnTransform, Permutation, TruthTable};
 
 /// Decides NPN equivalence of `f` and `g`, returning a witness transform
@@ -53,23 +54,26 @@ pub fn npn_match(f: &TruthTable, g: &TruthTable) -> Option<NpnTransform> {
     let total = f.num_bits();
 
     // Output phase: |t(f)| is |f| (no output negation) or 2^n − |f|.
-    let mut phases = Vec::with_capacity(2);
-    if ones_f == ones_g {
-        phases.push(false);
-    }
-    if total - ones_f == ones_g {
-        phases.push(true);
-    }
-    for out in phases {
-        let h = if out { f.negated() } else { f.clone() };
+    for out in [false, true] {
+        let ones_h = if out { total - ones_f } else { ones_f };
+        if ones_h != ones_g {
+            continue;
+        }
+        let negated;
+        let h = if out {
+            negated = f.negated();
+            &negated
+        } else {
+            f
+        };
         if n == 0 {
             // Constants: equality after output phase settles it.
-            if h == *g {
+            if h == g {
                 return Some(NpnTransform::phase(0, 0, out));
             }
             continue;
         }
-        if let Some((perm, neg)) = match_pn(&h, g) {
+        if let Some((perm, neg)) = match_pn(h, g) {
             let t = NpnTransform::new(perm, neg, out);
             debug_assert_eq!(t.apply(f), *g);
             return Some(t);
@@ -178,20 +182,38 @@ pub fn p_match(f: &TruthTable, g: &TruthTable) -> Option<Permutation> {
 /// Per-variable invariant profile: the unordered cofactor-count pair and
 /// the influence. A variable of `h` can only map to a variable of `g`
 /// with an identical profile.
-#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
+#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug, Default)]
 struct VarProfile {
     cof_lo: u64,
     cof_hi: u64,
     influence: u32,
 }
 
-fn profile(t: &TruthTable, var: usize) -> VarProfile {
-    let c0 = t.cofactor_count(var, false);
-    let c1 = t.cofactor_count(var, true);
-    VarProfile {
-        cof_lo: c0.min(c1),
-        cof_hi: c0.max(c1),
-        influence: influence(t, var),
+/// One side's per-variable data, computed once per match: the ordered
+/// cofactor pair `(|t_{x=0}|, |t_{x=1}|)` and the profile.
+struct SideData {
+    cof: [(u64, u64); MAX_VARS],
+    profile: [VarProfile; MAX_VARS],
+}
+
+impl SideData {
+    fn new(t: &TruthTable) -> Self {
+        let ones = t.count_ones();
+        let mut side = SideData {
+            cof: [(0, 0); MAX_VARS],
+            profile: [VarProfile::default(); MAX_VARS],
+        };
+        for v in 0..t.num_vars() {
+            let c1 = t.cofactor_count(v, true);
+            let c0 = ones - c1;
+            side.cof[v] = (c0, c1);
+            side.profile[v] = VarProfile {
+                cof_lo: c0.min(c1),
+                cof_hi: c0.max(c1),
+                influence: influence(t, v),
+            };
+        }
+        side
     }
 }
 
@@ -199,95 +221,107 @@ fn profile(t: &TruthTable, var: usize) -> VarProfile {
 /// ⊕ neg_i`.
 fn match_pn(h: &TruthTable, g: &TruthTable) -> Option<(Permutation, u16)> {
     let n = h.num_vars();
-    let h_profiles: Vec<VarProfile> = (0..n).map(|v| profile(h, v)).collect();
-    let g_profiles: Vec<VarProfile> = (0..n).map(|v| profile(g, v)).collect();
+    let hs = SideData::new(h);
+    let gs = SideData::new(g);
 
     // The profile multisets must agree.
     {
-        let mut a = h_profiles.clone();
-        let mut b = g_profiles.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        if a != b {
+        let mut a = hs.profile;
+        let mut b = gs.profile;
+        a[..n].sort_unstable();
+        b[..n].sort_unstable();
+        if a[..n] != b[..n] {
             return None;
         }
     }
 
-    // Candidate g-variables per h-variable; search scarcest-first.
-    let mut order: Vec<usize> = (0..n).collect();
-    let candidates: Vec<Vec<usize>> = (0..n)
-        .map(|i| (0..n).filter(|&j| g_profiles[j] == h_profiles[i]).collect())
-        .collect();
-    order.sort_by_key(|&i| candidates[i].len());
+    // Candidate g-variables per h-variable as bitmasks (visited in
+    // ascending index order); search scarcest-first, ties in index
+    // order (the sort is stable).
+    let mut candidates = [0u32; MAX_VARS];
+    for (i, mask) in candidates[..n].iter_mut().enumerate() {
+        for j in 0..n {
+            if gs.profile[j] == hs.profile[i] {
+                *mask |= 1 << j;
+            }
+        }
+    }
+    let mut order: [usize; MAX_VARS] = std::array::from_fn(|i| i);
+    order[..n].sort_by_key(|&i| candidates[i].count_ones());
 
     let mut state = SearchState {
         h,
         g,
-        order: &order,
-        candidates: &candidates,
-        assignment: vec![usize::MAX; n],
-        used: vec![false; n],
+        n,
+        order,
+        candidates,
+        h_cof: hs.cof,
+        g_cof: gs.cof,
+        assignment: [0; MAX_VARS],
+        used: 0,
         neg: 0,
     };
     if state.descend(0) {
-        let mut perm_img = vec![0usize; n];
-        for (i, &j) in state.assignment.iter().enumerate() {
-            perm_img[i] = j;
-        }
-        let perm = Permutation::from_slice(&perm_img).expect("bijective assignment");
+        let perm = Permutation::from_slice(&state.assignment[..n]).expect("bijective assignment");
         Some((perm, state.neg))
     } else {
         None
     }
 }
 
+/// Variables whose joint cofactor counts [`SearchState::partial_check`]
+/// compares; deeper prefixes cost more to check than they prune and
+/// are validated by the leaf's equality test.
+const JOINT_CHECK_VARS: usize = 4;
+
 struct SearchState<'a> {
     h: &'a TruthTable,
     g: &'a TruthTable,
-    order: &'a [usize],
-    candidates: &'a [Vec<usize>],
-    /// `assignment[i] = perm[i]`: g-position read by h-variable `i`.
-    assignment: Vec<usize>,
-    used: Vec<bool>,
+    n: usize,
+    order: [usize; MAX_VARS],
+    /// Bit `j` of `candidates[i]`: g-variable `j` shares h-variable
+    /// `i`'s profile.
+    candidates: [u32; MAX_VARS],
+    h_cof: [(u64, u64); MAX_VARS],
+    g_cof: [(u64, u64); MAX_VARS],
+    /// `assignment[i] = perm[i]`: g-position read by h-variable `i`
+    /// (meaningful for the assigned prefix of `order`).
+    assignment: [usize; MAX_VARS],
+    /// Bitmask of the g-variables already assigned.
+    used: u32,
     /// Input negation mask on h-variables.
     neg: u16,
 }
 
 impl SearchState<'_> {
     fn descend(&mut self, depth: usize) -> bool {
-        let n = self.h.num_vars();
-        if depth == n {
+        if depth == self.n {
             return self.full_check();
         }
         let hv = self.order[depth];
-        let cands = &self.candidates[hv];
-        for &gv in cands {
-            if self.used[gv] {
-                continue;
-            }
+        let (c0h, c1h) = self.h_cof[hv];
+        let mut free = self.candidates[hv] & !self.used;
+        while free != 0 {
+            let gv = free.trailing_zeros() as usize;
+            free &= free - 1;
             for neg_bit in [false, true] {
                 // A negated mapping only differs when the cofactor counts
                 // differ; when they're equal both phases must be explored
                 // (they lead to different completions), when they differ
                 // only the count-matching phase can work.
-                let c0h = self.h.cofactor_count(hv, false);
-                let c1h = self.h.cofactor_count(hv, true);
-                let c0g = self.g.cofactor_count(gv, false);
-                let c1g = self.g.cofactor_count(gv, true);
-                let (m0, m1) = if neg_bit { (c1h, c0h) } else { (c0h, c1h) };
-                if (m0, m1) != (c0g, c1g) {
+                let mapped = if neg_bit { (c1h, c0h) } else { (c0h, c1h) };
+                if mapped != self.g_cof[gv] {
                     continue;
                 }
                 self.assignment[hv] = gv;
-                self.used[gv] = true;
+                self.used |= 1 << gv;
                 if neg_bit {
                     self.neg |= 1 << hv;
                 }
                 if self.partial_check(depth + 1) && self.descend(depth + 1) {
                     return true;
                 }
-                self.assignment[hv] = usize::MAX;
-                self.used[gv] = false;
+                self.used &= !(1 << gv);
                 self.neg &= !(1 << hv);
             }
         }
@@ -296,35 +330,53 @@ impl SearchState<'_> {
 
     /// Joint cofactor counts over the currently assigned variables must
     /// match between h and g under the partial mapping.
+    ///
+    /// Only the assignments with the newest variable at 1 are compared:
+    /// the prefix without it already matched (or, for the first
+    /// variable, `|h| = |g|`), and each count with the newest variable
+    /// at 0 is that prefix count minus its partner at 1.
+    // analysis: no_alloc
     fn partial_check(&self, assigned: usize) -> bool {
-        let h_vars: Vec<usize> = self.order[..assigned].to_vec();
-        let g_vars: Vec<usize> = h_vars.iter().map(|&i| self.assignment[i]).collect();
-        let k = h_vars.len();
-        if k > 4 {
-            // Joint checks beyond 4 variables cost more than they prune;
-            // deeper levels are validated by the final equality test.
+        if assigned > JOINT_CHECK_VARS {
             return true;
         }
-        for a in 0..(1u32 << k) {
-            let h_vals: Vec<bool> = (0..k)
-                .map(|b| ((a >> b) & 1 == 1) ^ ((self.neg >> h_vars[b]) & 1 == 1))
-                .collect();
-            let g_vals: Vec<bool> = (0..k).map(|b| (a >> b) & 1 == 1).collect();
-            if self.h.cofactor_count_multi(&h_vars, &h_vals)
-                != self.g.cofactor_count_multi(&g_vars, &g_vals)
-            {
-                return false;
-            }
+        let mut h_vars = [0usize; JOINT_CHECK_VARS];
+        let mut g_vars = [0usize; JOINT_CHECK_VARS];
+        let mut h_flip = 0u32;
+        for (b, &hv) in self.order[..assigned].iter().enumerate() {
+            h_vars[b] = hv;
+            g_vars[b] = self.assignment[hv];
+            h_flip |= u32::from((self.neg >> hv) & 1) << b;
         }
-        true
+        let (h_vars, g_vars) = (&h_vars[..assigned], &g_vars[..assigned]);
+        let newest = 1u32 << (assigned - 1);
+        (newest..newest << 1)
+            .all(|a| joint_count(self.h, h_vars, a ^ h_flip) == joint_count(self.g, g_vars, a))
     }
 
     fn full_check(&self) -> bool {
-        let perm =
-            Permutation::from_slice(&self.assignment).expect("complete bijective assignment");
+        let perm = Permutation::from_slice(&self.assignment[..self.n])
+            .expect("complete bijective assignment");
         let t = NpnTransform::new(perm, self.neg, false);
         t.apply(self.h) == *self.g
     }
+}
+
+/// `|t_{vars = values}|`: the satisfy count of the joint cofactor fixing
+/// `vars[b]` to bit `b` of `values` — [`TruthTable::cofactor_count_multi`]
+/// without its argument validation or value slice.
+// analysis: no_alloc
+fn joint_count(t: &TruthTable, vars: &[usize], values: u32) -> u64 {
+    let mut count = 0u64;
+    for (i, &w) in t.words().iter().enumerate() {
+        let mut sel = w;
+        for (b, &v) in vars.iter().enumerate() {
+            let m = var_mask_word(v, i);
+            sel &= if (values >> b) & 1 == 1 { m } else { !m };
+        }
+        count += u64::from(sel.count_ones());
+    }
+    count
 }
 
 #[cfg(test)]

@@ -356,11 +356,6 @@ impl BucketResolver {
         // First member of a new class in this bucket: canonicalize
         // eagerly, outside the lock.
         let (canon, invariant) = certified_canonical(f);
-        if invariant {
-            self.walks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
         let mut shard = self.shard(digest).lock().expect("resolver shard poisoned");
         let reps = shard.entry(digest).or_default();
         // Double-check: another worker may have inserted this class
@@ -373,6 +368,14 @@ impl BucketResolver {
             };
         }
         reps.push(canon.clone());
+        // Counted only on insertion, so `walks + fallbacks` equals the
+        // classes created whatever the worker count: a worker that lost
+        // the race above is counted as a match instead.
+        if invariant {
+            self.walks.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
         Resolved {
             representative: canon,
             fresh: true,
@@ -416,8 +419,9 @@ impl BucketResolver {
             .sum()
     }
 
-    /// Eager Gray-code/pruned-walk canonicalizations performed (class
-    /// creations with an invariant label).
+    /// Class creations with an invariant label (eager Gray-code or
+    /// pruned-walk canonicalizations that inserted a class; a walk that
+    /// lost an insertion race counts as a match).
     pub fn walks(&self) -> u64 {
         self.walks.load(Ordering::Relaxed)
     }

@@ -17,17 +17,38 @@ fn arb_pair(min_n: usize, max_n: usize) -> impl Strategy<Value = (TruthTable, Np
     (min_n..=max_n).prop_flat_map(|n| {
         let table = proptest::collection::vec(any::<u64>(), facepoint_truth::words::word_count(n))
             .prop_map(move |words| TruthTable::from_words(n, &words).expect("sized vec"));
-        let tr = (any::<u64>(), any::<u16>(), any::<bool>()).prop_map(move |(s, neg, out)| {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-            let mask = if n == 0 {
-                0
-            } else {
-                neg & (((1u32 << n) - 1) as u16)
-            };
-            NpnTransform::new(Permutation::random(n, &mut rng), mask, out)
-        });
-        (table, tr)
+        (table, arb_transform(n))
+    })
+}
+
+/// A symmetric or partially symmetric table: variable profiles tie, so
+/// the matcher's search branches.
+fn arb_symmetric(min_n: usize, max_n: usize) -> impl Strategy<Value = TruthTable> {
+    (min_n..=max_n, 0usize..4, any::<u32>()).prop_map(|(n, family, k)| {
+        let k = k % (n as u32 + 1);
+        let low = (1u64 << (n - 1)) - 1;
+        match family {
+            0 => TruthTable::parity(n),
+            1 if n % 2 == 1 => TruthTable::majority(n),
+            // Threshold: at least `k` inputs are 1.
+            1 | 2 => TruthTable::from_fn(n, |m| m.count_ones() >= k).expect("n ≤ 16"),
+            // Threshold over all but the top input, xor the top input.
+            _ => TruthTable::from_fn(n, |m| ((m & low).count_ones() >= k) ^ (m >> (n - 1) == 1))
+                .expect("n ≤ 16"),
+        }
+    })
+}
+
+fn arb_transform(n: usize) -> impl Strategy<Value = NpnTransform> {
+    (any::<u64>(), any::<u16>(), any::<bool>()).prop_map(move |(s, neg, out)| {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(s);
+        let mask = if n == 0 {
+            0
+        } else {
+            neg & (((1u32 << n) - 1) as u16)
+        };
+        NpnTransform::new(Permutation::random(n, &mut rng), mask, out)
     })
 }
 
@@ -51,7 +72,20 @@ proptest! {
     }
 
     #[test]
-    fn matcher_finds_planted_equivalence((f, t) in arb_pair(1, 7)) {
+    fn matcher_finds_planted_equivalence((f, t) in arb_pair(1, 10)) {
+        let g = t.apply(&f);
+        let w = npn_match(&f, &g);
+        prop_assert!(w.is_some());
+        prop_assert_eq!(w.unwrap().apply(&f), g);
+    }
+
+    #[test]
+    fn matcher_finds_planted_symmetric_equivalence(
+        (f, t) in arb_symmetric(7, 9).prop_flat_map(|f| {
+            let n = f.num_vars();
+            (Just(f), arb_transform(n))
+        }),
+    ) {
         let g = t.apply(&f);
         let w = npn_match(&f, &g);
         prop_assert!(w.is_some());

@@ -16,7 +16,7 @@
 
 use crate::error::{Error, Result};
 use crate::table::TruthTable;
-use crate::words::{flip_var_word, swap_vars_word, WORD_VARS};
+use crate::words::{flip_var_word, swap_vars_word, MAX_VARS, WORD_VARS};
 use std::fmt;
 
 impl TruthTable {
@@ -187,24 +187,47 @@ impl TruthTable {
     /// Panics if `perm` is not a permutation of `0..num_vars`.
     #[must_use]
     pub fn permute_vars(&self, perm: &Permutation) -> TruthTable {
-        assert_eq!(
-            perm.len(),
-            self.num_vars(),
-            "permutation arity must match table arity"
-        );
-        let mut out = TruthTable::zero(self.num_vars()).expect("same arity as self");
-        for m in 0..self.num_bits() {
-            if self.bit(m) {
-                // `f` is 1 at Y; `g` is 1 at every X with Y_i = X_{perm[i]},
-                // i.e. X_{perm[i]} = Y_i.
-                let mut x = 0u64;
-                for (i, &p) in perm.as_slice().iter().enumerate() {
-                    x |= ((m >> i) & 1) << p;
-                }
-                out.set_bit(x, true);
+        let mut out = self.clone();
+        out.permute_vars_in_place(perm);
+        out
+    }
+
+    /// Applies a permutation of the input variables in place, with the
+    /// semantics of [`TruthTable::permute_vars`].
+    ///
+    /// Word-level: the target positions are filled left to right, each
+    /// by at most one [`TruthTable::swap_vars_in_place`], so a
+    /// permutation costs at most `n − 1` swaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0..num_vars`.
+    fn permute_vars_in_place(&mut self, perm: &Permutation) {
+        let n = self.num_vars();
+        assert_eq!(perm.len(), n, "permutation arity must match table arity");
+        // `at[p]` is the variable of the original `f` currently read at
+        // position `p`, `pos` its inverse; `want[p]` is the variable
+        // that must end up there.
+        let mut at = [0u8; MAX_VARS];
+        let mut pos = [0u8; MAX_VARS];
+        let mut want = [0u8; MAX_VARS];
+        for (v, &p) in perm.as_slice().iter().enumerate() {
+            at[v] = v as u8;
+            pos[v] = v as u8;
+            want[p as usize] = v as u8;
+        }
+        for p in 0..n.saturating_sub(1) {
+            let v = want[p];
+            let q = pos[v as usize] as usize;
+            if q != p {
+                self.swap_vars_in_place(p, q);
+                let u = at[p];
+                at[p] = v;
+                at[q] = u;
+                pos[v as usize] = p as u8;
+                pos[u as usize] = q as u8;
             }
         }
-        out
     }
 }
 
@@ -402,7 +425,7 @@ impl NpnTransform {
             t.flip_var_in_place(v);
             neg &= neg - 1;
         }
-        let mut t = t.permute_vars(&self.perm);
+        t.permute_vars_in_place(&self.perm);
         if self.output_neg {
             t.negate_in_place();
         }

@@ -164,3 +164,30 @@ proptest! {
         prop_assert!(ones.windows(2).all(|w| w[0] < w[1]));
     }
 }
+
+/// The per-minterm definition of a transform: `g(X) = out ⊕ f(Y)` with
+/// `Y_i = X_{perm[i]} ⊕ neg_i`, evaluated one minterm at a time.
+fn apply_by_definition(t: &TruthTable, tr: &NpnTransform) -> TruthTable {
+    TruthTable::from_fn(t.num_vars(), |x| {
+        let mut y = 0u64;
+        for i in 0..t.num_vars() {
+            y |= ((x >> tr.perm().map(i)) & 1) << i;
+        }
+        t.bit(y ^ u64::from(tr.input_neg())) ^ tr.output_neg()
+    })
+    .expect("same arity")
+}
+
+proptest! {
+    // Up to ten variables, so the word-level permutation meets every
+    // swap shape: both variables inside a word, both selecting words,
+    // and one of each.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn permute_and_apply_match_minterm_definition((t, tr) in arb_table_and_transform(10)) {
+        let pure = NpnTransform::new(tr.perm().clone(), 0, false);
+        prop_assert_eq!(t.permute_vars(tr.perm()), apply_by_definition(&t, &pure));
+        prop_assert_eq!(tr.apply(&t), apply_by_definition(&t, &tr));
+    }
+}
