@@ -12,6 +12,19 @@ const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// FNV-1a 128-bit prime.
 const PRIME: u128 = 0x0000000001000000000000000000013b;
 
+/// `PRIME_POWERS[k] = PRIME^k (mod 2^128)` for `k = 0..=8`: absorbing
+/// `k` zero bytes multiplies the state by exactly this (see
+/// [`Fnv128Stream::word`]).
+const PRIME_POWERS: [u128; 9] = {
+    let mut powers = [1u128; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// Hashes a slice of words with FNV-1a/128 (byte-wise, little-endian).
 ///
 /// # Examples
@@ -67,13 +80,24 @@ impl Fnv128Stream {
     }
 
     /// Absorbs one word (byte-wise, little-endian).
+    ///
+    /// A zero byte's FNV-1a step is `h ← (h ⊕ 0)·P = h·P`, so the run of
+    /// zero bytes above the word's highest nonzero byte collapses into
+    /// one multiply by `P^k`. Only the significant low bytes take the
+    /// per-byte xor-multiply; the digest is bit-identical to the
+    /// byte-wise definition. MSV words are small counts, so most words
+    /// cost two or three multiplies instead of eight.
+    // analysis: no_alloc
     pub fn word(&mut self, w: u64) {
+        let significant = 8 - (w.leading_zeros() / 8) as usize;
         let mut h = self.state;
-        for b in w.to_le_bytes() {
-            h ^= b as u128;
+        let mut rest = w;
+        for _ in 0..significant {
+            h ^= (rest & 0xff) as u128;
             h = h.wrapping_mul(PRIME);
+            rest >>= 8;
         }
-        self.state = h;
+        self.state = h.wrapping_mul(PRIME_POWERS[8 - significant]);
     }
 
     /// Absorbs a run of words.

@@ -9,7 +9,7 @@
 //! NPN equivalence *up to output phase* (output negation maps each count
 //! `c` to `2^{n-ℓ} − c`).
 
-use facepoint_truth::words::var_mask_word;
+use facepoint_truth::words::{var_mask_word, MAX_VARS};
 use facepoint_truth::TruthTable;
 
 /// The 1-ary ordered cofactor vector: sorted multiset
@@ -100,6 +100,7 @@ pub fn ocv(f: &TruthTable, arity: usize) -> Vec<u32> {
 /// computation heap-free. Produces an empty vector when `arity >
 /// num_vars` (only reachable for `OCV1`/`OCV2` on degenerate arities;
 /// the `OCV3` stage is skipped entirely below three variables).
+// analysis: no_alloc
 pub(crate) fn ocv_sorted_into(f: &TruthTable, arity: usize, out: &mut Vec<u64>) {
     debug_assert!((1..=3).contains(&arity), "kernel OCV arity is 1..=3");
     let n = f.num_vars();
@@ -114,26 +115,26 @@ pub(crate) fn ocv_sorted_into(f: &TruthTable, arity: usize, out: &mut Vec<u64>) 
             let total = f.count_ones();
             for var in 0..n {
                 let c1 = f.cofactor_count(var, true);
-                out.push(total - c1);
-                out.push(c1);
+                out.extend([total - c1, c1]);
             }
         }
         2 => {
-            // All four counts of a variable pair in a single sweep.
+            // Only `c11 = |f ∧ x_i ∧ x_j|` takes a sweep; the other three
+            // counts of the pair follow from the 1-ary counts and `|f|`.
+            let total = f.count_ones();
+            let mut ones = [0u64; MAX_VARS];
+            for (var, c) in ones[..n].iter_mut().enumerate() {
+                *c = f.cofactor_count(var, true);
+            }
             for i in 0..n {
                 for j in (i + 1)..n {
-                    let (mut c00, mut c01, mut c10, mut c11) = (0u64, 0u64, 0u64, 0u64);
+                    let mut c11 = 0u64;
                     for (wi, &w) in f.words().iter().enumerate() {
-                        let mi = var_mask_word(i, wi);
-                        let mj = var_mask_word(j, wi);
-                        let w1 = w & mi;
-                        let w0 = w & !mi;
-                        c11 += (w1 & mj).count_ones() as u64;
-                        c01 += (w0 & mj).count_ones() as u64;
-                        c10 += (w1 & !mj).count_ones() as u64;
-                        c00 += (w0 & !mj).count_ones() as u64;
+                        c11 +=
+                            (w & var_mask_word(i, wi) & var_mask_word(j, wi)).count_ones() as u64;
                     }
-                    out.extend([c00, c10, c01, c11]);
+                    let (c1i, c1j) = (ones[i], ones[j]);
+                    out.extend([total + c11 - c1i - c1j, c1i - c11, c1j - c11, c11]);
                 }
             }
         }
@@ -150,6 +151,7 @@ pub(crate) fn ocv_sorted_into(f: &TruthTable, arity: usize, out: &mut Vec<u64>) 
                     for (k, v) in values[..arity].iter_mut().enumerate() {
                         *v = (assign >> k) & 1 == 1;
                     }
+                    // analysis: allow(no-alloc, "pushes into the kernel's count buffer, warmed to the largest arity after the first function")
                     out.push(f.cofactor_count_multi(combo, &values[..arity]));
                 }
                 if !next_combination(combo, n) {
@@ -158,7 +160,30 @@ pub(crate) fn ocv_sorted_into(f: &TruthTable, arity: usize, out: &mut Vec<u64>) 
             }
         }
     }
-    out.sort_unstable();
+    sort_counts(out, 1u64 << (n - arity));
+}
+
+/// Largest face size whose counts are sorted by counting sort.
+const COUNTING_SORT_MAX_FACE: u64 = 256;
+
+/// Sorts cofactor counts, each in `0..=face`: a counting sort over a
+/// stack histogram when the face has at most
+/// [`COUNTING_SORT_MAX_FACE`] points, `sort_unstable` above that.
+fn sort_counts(counts: &mut [u64], face: u64) {
+    if face > COUNTING_SORT_MAX_FACE {
+        counts.sort_unstable();
+        return;
+    }
+    let mut hist = [0u32; COUNTING_SORT_MAX_FACE as usize + 1];
+    for &c in counts.iter() {
+        hist[c as usize] += 1;
+    }
+    let mut slots = counts.iter_mut();
+    for (value, &times) in hist[..=face as usize].iter().enumerate() {
+        for slot in slots.by_ref().take(times as usize) {
+            *slot = value as u64;
+        }
+    }
 }
 
 /// Advances `combo` (strictly increasing indices into `0..n`) to its
@@ -240,15 +265,41 @@ mod tests {
         assert!(v.iter().all(|&c| c <= 1));
     }
 
+    /// The kernel's sorted counts against the public definition for
+    /// arity 1–3 up to n = 12: faces of at most 256 points take the
+    /// counting sort, larger faces (`n − ℓ > 8`) the `sort_unstable`
+    /// fallback.
     #[test]
     fn sorted_into_matches_public_ocv() {
-        let f = TruthTable::from_hex(5, "cafe1234").unwrap();
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x0C5);
         let mut out = Vec::new();
-        for arity in 1..=3usize {
-            ocv_sorted_into(&f, arity, &mut out);
-            let expect: Vec<u64> = ocv(&f, arity).iter().map(|&c| c as u64).collect();
-            assert_eq!(out, expect, "arity {arity}");
+        let (mut counting, mut fallback) = (0, 0);
+        for n in 1..=12usize {
+            let fns = [
+                TruthTable::random(n, &mut rng).unwrap(),
+                TruthTable::zero(n).unwrap(),
+                TruthTable::one(n).unwrap(),
+                TruthTable::parity(n),
+            ];
+            for f in &fns {
+                for arity in 1..=3.min(n) {
+                    ocv_sorted_into(f, arity, &mut out);
+                    let expect: Vec<u64> = ocv(f, arity).iter().map(|&c| c as u64).collect();
+                    assert_eq!(out, expect, "n = {n}, arity {arity}, f = {f}");
+                    if 1u64 << (n - arity) <= COUNTING_SORT_MAX_FACE {
+                        counting += 1;
+                    } else {
+                        fallback += 1;
+                    }
+                }
+            }
         }
+        assert!(
+            counting > 0 && fallback > 0,
+            "{counting} counting, {fallback} fallback"
+        );
         let tiny = TruthTable::from_u64(1, 0b10).unwrap();
         ocv_sorted_into(&tiny, 2, &mut out);
         assert!(out.is_empty(), "arity above n yields an empty vector");

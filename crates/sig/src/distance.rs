@@ -37,29 +37,16 @@
 
 use crate::sensitivity::SensitivityProfile;
 use crate::spectral::{wht_in_place, xor_autocorrelation_into};
-use facepoint_truth::words::WORD_VARS;
+use facepoint_truth::words::{MAX_VARS, WORD_VARS};
 use facepoint_truth::TruthTable;
 use std::fmt;
 
-/// Divisor applied to the classic `n·2^n` crossover to get the
-/// [`OsdvEngine::Auto`] threshold of the single-transform spectral tail
-/// ([`auto_crossover`]). The weight-binned tail runs one butterfly
-/// cascade where the autocorrelation runs two plus a squaring pass, so
-/// it breaks even against pairwise counting at roughly half the group
-/// population product; the value is pinned by a unit test and was
-/// re-tuned against the batched kernel on the `trajectory` workload.
-pub const AUTO_SPECTRAL_DIVISOR: u64 = 2;
-
-/// The [`OsdvEngine::Auto`] crossover of the single-transform spectral
-/// tail: a group of population `p` is counted spectrally when
-/// `p² ≥ auto_crossover(n)`, pairwise otherwise.
-pub const fn auto_crossover(num_vars: usize) -> u64 {
-    classic_crossover(num_vars) / AUTO_SPECTRAL_DIVISOR
-}
-
-/// The [`OsdvEngine::Auto`] crossover of the classic two-transform
-/// autocorrelation tail used by [`osdv_rows_into`]: pairwise while
-/// `p² < n·2^n`, the autocorrelation's operation count.
+/// The [`OsdvEngine::Auto`] crossover: a group of population `p` is
+/// counted pairwise while `p² < n·2^n` (the transform's operation
+/// count) and spectrally otherwise. One threshold serves both spectral
+/// tails — the classic autocorrelation of [`osdv_rows_into`] and the
+/// weight-binned tail of the fused and batched sweeps; with the
+/// table-driven pairwise counter it measured best for the latter too.
 pub const fn classic_crossover(num_vars: usize) -> u64 {
     (num_vars as u64) << num_vars
 }
@@ -78,7 +65,7 @@ pub struct OsdvScratch {
     /// fused sweep.
     ind: Vec<u64>,
     /// Expanded member list for the pairwise engine.
-    pub(crate) members: Vec<u64>,
+    pub(crate) members: Vec<u16>,
     /// Walsh–Hadamard workspace for the classic autocorrelation engine.
     wht: Vec<i64>,
     /// Workspace of the single-transform weight-binned spectral tail.
@@ -111,10 +98,8 @@ pub enum OsdvEngine {
     Pairwise,
     /// Always use the Walsh–Hadamard spectral counter.
     Wht,
-    /// Choose per group by population: pairwise below the tail's
-    /// crossover ([`classic_crossover`] for [`osdv_rows_into`],
-    /// [`auto_crossover`] for the fused/batched weight-binned tail),
-    /// spectral otherwise.
+    /// Choose per group by population: pairwise below
+    /// [`classic_crossover`], spectral otherwise.
     #[default]
     Auto,
 }
@@ -360,7 +345,7 @@ pub(crate) fn count_level_pairs(
     pop0: u64,
     g1: &[u64],
     pop1: u64,
-    members: &mut Vec<u64>,
+    members: &mut Vec<u16>,
     tail: &mut SpectralTail,
     row0: &mut [u64],
     row1: &mut [u64],
@@ -368,7 +353,7 @@ pub(crate) fn count_level_pairs(
     let spectral = |pop: u64| match engine {
         OsdvEngine::Pairwise => false,
         OsdvEngine::Wht => true,
-        OsdvEngine::Auto => pop * pop >= auto_crossover(num_vars),
+        OsdvEngine::Auto => pop * pop >= classic_crossover(num_vars),
     };
     let s0 = pop0 >= 2 && spectral(pop0);
     let s1 = pop1 >= 2 && spectral(pop1);
@@ -519,21 +504,61 @@ pub fn osdv1(f: &TruthTable) -> Osdv {
     osdv_with(f, MintermFilter::Ones, OsdvEngine::Auto)
 }
 
-pub(crate) fn count_pairs_naive(group: &[u64], row: &mut [u64], members: &mut Vec<u64>) {
+/// Popcount of every byte value: the pairwise counter's distance table
+/// (the baseline x86-64 target has no `popcnt`, so `count_ones` is a
+/// dozen-instruction bit trick).
+const BYTE_POPCOUNT: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u32).count_ones() as u8;
+        b += 1;
+    }
+    table
+};
+
+/// Pairwise distance histogram of one group: expands the members
+/// (minterms fit in 16 bits, `MAX_VARS` = 16) and histograms
+/// `popcount(x ⊕ y)` over every unordered pair through two
+/// [`BYTE_POPCOUNT`] lookups. Alternate partners land in two histogram
+/// banks so consecutive increments do not wait on each other.
+// analysis: no_alloc
+pub(crate) fn count_pairs_naive(group: &[u64], row: &mut [u64], members: &mut Vec<u16>) {
+    debug_assert!(
+        group.len() << WORD_VARS <= 1 << MAX_VARS,
+        "minterms fit in 16 bits"
+    );
     members.clear();
     for (w, &word) in group.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            members.push(((w as u64) << WORD_VARS) | bits.trailing_zeros() as u64);
+            // analysis: allow(no-alloc, "fills the scratch member list, warmed to the largest group after the first function")
+            members.push(((w << WORD_VARS) | bits.trailing_zeros() as usize) as u16);
             bits &= bits - 1;
         }
     }
+    let mut banks = [[0u64; MAX_VARS + 1]; 2];
     for (a, &x) in members.iter().enumerate() {
-        for &y in &members[a + 1..] {
-            let d = (x ^ y).count_ones() as usize;
-            row[d - 1] += 1;
+        let partners = &members[a + 1..];
+        let mut pairs = partners.chunks_exact(2);
+        for pair in &mut pairs {
+            let (d0, d1) = (x ^ pair[0], x ^ pair[1]);
+            banks[0][distance(d0)] += 1;
+            banks[1][distance(d1)] += 1;
+        }
+        if let [y] = pairs.remainder() {
+            banks[0][distance(x ^ y)] += 1;
         }
     }
+    for (j, slot) in row.iter_mut().enumerate() {
+        *slot += banks[0][j + 1] + banks[1][j + 1];
+    }
+}
+
+/// Hamming weight of a 16-bit minterm difference by table lookup.
+#[inline(always)]
+fn distance(d: u16) -> usize {
+    BYTE_POPCOUNT[(d & 0xff) as usize] as usize + BYTE_POPCOUNT[(d >> 8) as usize] as usize
 }
 
 fn count_pairs_wht(group: &[u64], num_vars: usize, row: &mut [u64], wht: &mut Vec<i64>) {
@@ -549,13 +574,13 @@ fn count_pairs_wht(group: &[u64], num_vars: usize, row: &mut [u64], wht: &mut Ve
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
-    /// The Auto crossover is a recorded, tested constant: the spectral
-    /// tail's threshold sits at half the classic `n·2^n` cost model.
+    /// The Auto crossover is a recorded, tested constant: `n·2^n`, the
+    /// measured break-even of the table-driven pairwise counter against
+    /// both spectral tails.
     #[test]
     fn crossover_constants_are_pinned() {
-        assert_eq!(AUTO_SPECTRAL_DIVISOR, 2);
         for (n, classic) in [
             (1usize, 2u64),
             (4, 64),
@@ -563,8 +588,7 @@ mod tests {
             (10, 10240),
             (16, 1 << 20),
         ] {
-            assert_eq!(classic_crossover(n), classic, "classic, n = {n}");
-            assert_eq!(auto_crossover(n), classic / 2, "spectral, n = {n}");
+            assert_eq!(classic_crossover(n), classic, "n = {n}");
         }
     }
 
@@ -629,6 +653,44 @@ mod tests {
                 count_pairs_wht(&group, n, &mut by_classic, &mut wht);
                 assert_eq!(by_spectral, by_naive, "n = {n}, f = {f}");
                 assert_eq!(by_spectral, by_classic, "n = {n}, f = {f}");
+            }
+        }
+    }
+
+    /// The table-driven pairwise counter against both spectral counters
+    /// on sparse groups at n = 9–12, where member differences reach the
+    /// high byte (`x ⊕ y ≥ 256`) and both ends of the distance range.
+    #[test]
+    fn table_pair_counter_matches_spectral_on_sparse_wide_groups() {
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut tail = SpectralTail::default();
+        let mut members = Vec::new();
+        let mut wht = Vec::new();
+        for n in 9..=12usize {
+            for density_shift in [3u32, 5] {
+                let f = TruthTable::random(n, &mut rng).unwrap();
+                let mut group = f.words().to_vec();
+                for w in group.iter_mut() {
+                    for _ in 0..density_shift {
+                        *w &= rng.random::<u64>();
+                    }
+                }
+                // Minterms 0 and 2^n − 1 sit at distance n.
+                group[0] |= 1;
+                *group.last_mut().unwrap() |= 1 << 63;
+                let mut by_naive = vec![0u64; n];
+                let mut by_spectral = vec![0u64; n];
+                let mut by_classic = vec![0u64; n];
+                count_pairs_naive(&group, &mut by_naive, &mut members);
+                count_pairs_spectral(&group, n, &mut tail, &mut by_spectral);
+                count_pairs_wht(&group, n, &mut by_classic, &mut wht);
+                assert!(
+                    members.iter().any(|&m| m >= 256),
+                    "n = {n}: no member above the low byte"
+                );
+                assert!(by_naive[n - 1] >= 1, "n = {n}: no pair at distance n");
+                assert_eq!(by_naive, by_spectral, "n = {n}, density 2^-{density_shift}");
+                assert_eq!(by_naive, by_classic, "n = {n}, density 2^-{density_shift}");
             }
         }
     }

@@ -55,8 +55,8 @@ pub mod theorems;
 
 pub use cofactor::{ocv, ocv1, ocv2};
 pub use distance::{
-    auto_crossover, classic_crossover, osdv, osdv0, osdv1, osdv_from_profile, osdv_rows_into,
-    osdv_with, MintermFilter, Osdv, OsdvEngine, OsdvScratch, AUTO_SPECTRAL_DIVISOR,
+    classic_crossover, osdv, osdv0, osdv1, osdv_from_profile, osdv_rows_into, osdv_with,
+    MintermFilter, Osdv, OsdvEngine, OsdvScratch,
 };
 pub use influence::{influence, influences, oiv, total_influence};
 pub use kernel::{MsvSink, SigKernel};
