@@ -12,12 +12,11 @@
 //!
 //! * schema: both files must parse, carry the expected fields, and
 //!   every throughput must be a positive number;
-//! * batch lanes: `BENCH_signatures.json` must record the bit-sliced
-//!   lane width (`lane_width`, currently 64) and per-row
-//!   `batch_fns_per_sec` / `batch_speedup`; every row at n ≥ 9 must
-//!   meet `--min-sig-speedup` (default 2.3 — the tentpole acceptance
-//!   floor for `key_batch` over the two-pass reference; pass `0` to
-//!   validate schema only, as the quick CI sweep stops at n = 8);
+//! * kernel speedup: every `BENCH_signatures.json` row at n ≥ 9 must
+//!   meet `--min-sig-speedup` on its `speedup` column (default 2.3 —
+//!   the acceptance floor for the signature kernel over the two-pass
+//!   reference; pass `0` to validate schema only, as the quick CI
+//!   sweep stops at n = 8);
 //! * durability tax: every engine row must record `journal_ratio`
 //!   (journaled / in-memory ingest throughput), and the n = 8 row must
 //!   meet `--min-journal-ratio` (default 0.6 — the repo's acceptance
@@ -88,10 +87,8 @@ const SCHEMAS: [Schema; 2] = [
             "n",
             "functions",
             "kernel_fns_per_sec",
-            "batch_fns_per_sec",
             "reference_fns_per_sec",
             "speedup",
-            "batch_speedup",
         ],
         nonneg_row_fields: &[],
         throughput_field: "kernel_fns_per_sec",
@@ -443,40 +440,30 @@ fn main() {
         }
     }
 
-    // The batch-lane floor: the signatures file must pin the lane
-    // width, and key_batch must clear min_sig_speedup over the
-    // two-pass reference on every large-arity row present (the quick
-    // sweep stops at n = 8 and is exempt by construction).
+    // The kernel floor: the scalar kernel must clear min_sig_speedup
+    // over the two-pass reference on every large-arity row present
+    // (the quick sweep stops at n = 8 and is exempt by construction).
     let sig_path = dir.join("BENCH_signatures.json");
     if let Ok(text) = std::fs::read_to_string(&sig_path) {
         if let Ok(doc) = parse(&text) {
-            match doc.get("lane_width").and_then(Json::as_f64) {
-                Some(64.0) => {}
-                Some(w) => check.fail(format!(
-                    "BENCH_signatures.json: \"lane_width\" = {w}, expected 64"
-                )),
-                None => {
-                    check.fail("BENCH_signatures.json: missing number \"lane_width\"".to_string())
-                }
-            }
             let rows = doc.get("results").and_then(Json::as_arr).unwrap_or(&[]);
             for row in rows {
                 let n = row.get("n").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                let Some(batch_speedup) = row.get("batch_speedup").and_then(Json::as_f64) else {
+                let Some(speedup) = row.get("speedup").and_then(Json::as_f64) else {
                     continue; // already reported as a schema failure
                 };
                 if n < 9 {
                     continue;
                 }
-                if batch_speedup < min_sig_speedup {
+                if speedup < min_sig_speedup {
                     check.fail(format!(
-                        "BENCH_signatures.json n={n}: batch_speedup \
-                         {batch_speedup:.3} below the {min_sig_speedup} floor"
+                        "BENCH_signatures.json n={n}: speedup \
+                         {speedup:.3} below the {min_sig_speedup} floor"
                     ));
                 } else {
                     println!(
-                        "BENCH_signatures.json n={n}: key_batch at \
-                         {batch_speedup:.2}x over the reference (floor {min_sig_speedup})"
+                        "BENCH_signatures.json n={n}: kernel at \
+                         {speedup:.2}x over the reference (floor {min_sig_speedup})"
                     );
                 }
             }

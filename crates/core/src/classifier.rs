@@ -125,11 +125,8 @@ impl Classifier {
         match self.key_mode {
             // The digest path buckets on exactly `signature_key`,
             // streamed off the kernel — the MSV is never materialized.
-            // Each worker feeds its whole chunk through the kernel's
-            // bit-sliced lane batch (`key_batch`); the keys are
-            // bit-identical to per-function `kernel.key` calls.
             KeyMode::Digest => {
-                let keys = self.batched_keys(&fns);
+                let keys = self.map_with_kernel(&fns, |kernel, f| kernel.key(f));
                 self.group(fns, keys)
             }
             KeyMode::Full => {
@@ -137,34 +134,6 @@ impl Classifier {
                 self.group(fns, msvs)
             }
         }
-    }
-
-    /// Digest keys for every table, each worker thread lane-batching
-    /// its chunk through one reusable [`SignatureKernel::key_batch`].
-    fn batched_keys(&self, fns: &[TruthTable]) -> Vec<u128> {
-        if self.threads <= 1 || fns.len() < 2 * self.threads {
-            let mut kernel = SignatureKernel::new(self.set);
-            let mut keys = Vec::with_capacity(fns.len());
-            kernel.key_batch(fns, &mut keys);
-            return keys;
-        }
-        let chunk = fns.len().div_ceil(self.threads);
-        let mut out = vec![0u128; fns.len()];
-        std::thread::scope(|scope| {
-            for (fns_chunk, out_chunk) in fns.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let mut kernel = SignatureKernel::new(self.set);
-                    kernel.key_batch_with(
-                        fns_chunk.len(),
-                        |i| &fns_chunk[i],
-                        |i, key| {
-                            out_chunk[i] = key;
-                        },
-                    );
-                });
-            }
-        });
-        out
     }
 
     /// Applies `per_fn` to every table, giving each worker thread one

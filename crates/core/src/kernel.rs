@@ -59,59 +59,15 @@ impl SignatureKernel {
         stream.finish()
     }
 
-    /// Keys a whole slice, batching maximal same-arity runs of up to
-    /// [`facepoint_sig::LANE_WIDTH`] functions through the kernel's
-    /// bit-sliced lane pass; keys are appended to `keys` in input
-    /// order and are bit-identical to per-function [`Self::key`] calls.
-    ///
-    /// Steady-state allocation-free once `keys` has warmed up to the
-    /// largest batch seen.
+    /// Keys a whole slice: appends one [`Self::key`] per function to
+    /// `keys`, in input order. Steady-state allocation-free once `keys`
+    /// has warmed up to the longest slice seen.
     // analysis: no_alloc
     pub fn key_batch(&mut self, fns: &[TruthTable], keys: &mut Vec<u128>) {
-        // analysis: allow(no-alloc, "appends into the caller's key buffer, which the zero_alloc test proves warmed after one batch")
-        self.key_batch_with(fns.len(), |i| &fns[i], |_, key| keys.push(key));
-    }
-
-    /// Accessor-driven form of [`Self::key_batch`]: keys `count` tables
-    /// resolved through `at` and hands `(index, key)` pairs to `emit`
-    /// in index order — what the engine uses to batch the non-contiguous
-    /// cache misses of a chunk without collecting them first.
-    // analysis: no_alloc
-    pub fn key_batch_with<'a>(
-        &mut self,
-        count: usize,
-        at: impl Fn(usize) -> &'a TruthTable,
-        mut emit: impl FnMut(usize, u128),
-    ) {
-        // Lane batching only pays inside the point-characteristic
-        // sweep; sets without OSV/OSDV take the scalar path directly.
-        if !self.set.contains(SignatureSet::OSV) && !self.set.contains(SignatureSet::OSDV) {
-            for i in 0..count {
-                emit(i, self.key(at(i)));
-            }
-            return;
-        }
-        let mut start = 0;
-        while start < count {
-            let n = at(start).num_vars();
-            let mut end = start + 1;
-            while end < count && end - start < facepoint_sig::LANE_WIDTH && at(end).num_vars() == n
-            {
-                end += 1;
-            }
-            if end - start == 1 {
-                emit(start, self.key(at(start)));
-            } else {
-                self.kernel
-                    .batch_point_sections_with(end - start, |i| at(start + i));
-                for i in start..end {
-                    let mut stream = Fnv128Stream::new();
-                    self.kernel
-                        .msv_to_batched(at(i), i - start, self.set, &mut stream);
-                    emit(i, stream.finish());
-                }
-            }
-            start = end;
+        for f in fns {
+            let key = self.key(f);
+            // analysis: allow(no-alloc, "appends into the caller's key buffer, warmed by the caller")
+            keys.push(key);
         }
     }
 

@@ -67,7 +67,7 @@ fn corpus_lines() -> Vec<String> {
         ("all", SignatureSet::all()),
         ("ext", SignatureSet::all_extended()),
     ] {
-        // The lane-batched path must land on the same pinned keys.
+        // The slice-keying path must land on the same pinned keys.
         let mut batched = Vec::new();
         SignatureKernel::new(set).key_batch(&tables, &mut batched);
         for ((n, kind, i, f), &batch_key) in fns.iter().zip(&batched) {

@@ -60,21 +60,23 @@ fn steady_state_digest_and_msv_into_allocate_nothing() {
         }
     }
 
-    // The bit-sliced lane batch: a whole n = 10 batch keyed through
-    // `key_batch` must be allocation-free once the lane buffers and the
-    // caller's key vector have warmed up.
+    // A mixed-arity stream, as a cut enumerator produces it: one
+    // kernel keys n = 4..=10 interleaved, so every call switches arity.
+    // One warm-up pass grows the scratch to the n = 10 high-water mark;
+    // after it, no arity change may allocate.
     {
-        let fns = workload(10);
+        let by_arity: Vec<Vec<TruthTable>> = (4usize..=10).map(workload).collect();
+        let fns: Vec<&TruthTable> = (0..by_arity[0].len())
+            .flat_map(|i| by_arity.iter().map(move |w| &w[i]))
+            .collect();
         let mut kernel = SignatureKernel::new(SignatureSet::all());
-        let mut keys = Vec::new();
-        kernel.key_batch(&fns, &mut keys); // warm-up growth
-        let expected = keys.clone();
+        let expected: Vec<u128> = fns.iter().map(|f| kernel.key(f)).collect();
         assert_some_pass_allocates_nothing(
-            format_args!("steady-state batched digest keys (n = 10)"),
+            format_args!("steady-state digest keys over mixed arities 4..=10"),
             || {
-                keys.clear();
-                kernel.key_batch(&fns, &mut keys);
-                assert_eq!(keys, expected);
+                for (f, &want) in fns.iter().zip(&expected) {
+                    assert_eq!(kernel.key(f), want);
+                }
             },
         );
     }

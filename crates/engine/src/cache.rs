@@ -95,8 +95,8 @@ impl MemoCache {
 
     /// Records a freshly computed `table → key` pair and counts the
     /// miss. Workers probe with [`Self::peek`] (which counts hits),
-    /// collect the misses of a chunk into one bit-sliced lane pass, and
-    /// feed each computed key back through here, so `hits + misses`
+    /// key each miss, and feed the computed key back through here
+    /// before the next entry, so `hits + misses`
     /// still equals the number of keyed functions. Keys are pure, so
     /// racing duplicate records of the same table are harmless (both
     /// count as the misses they were).

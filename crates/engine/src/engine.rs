@@ -432,7 +432,6 @@ pub struct SubmitHandle {
     /// Kernel for the close-race inline path; built on first use.
     fallback: Option<Box<SignatureKernel>>,
     log_scratch: Vec<(u64, u128)>,
-    miss_scratch: Vec<usize>,
     chunk_latency: Arc<LatencyHistogram>,
     /// Certified-resolution context for the inline path; `None` in
     /// digest mode.
@@ -576,7 +575,6 @@ impl SubmitHandle {
                 &self.processed,
                 &self.order,
                 &mut self.log_scratch,
-                &mut self.miss_scratch,
                 &self.chunk_latency,
                 self.certified.as_deref(),
             );
@@ -1049,7 +1047,6 @@ impl Engine {
             set: self.cfg.set,
             fallback: None,
             log_scratch: Vec::new(),
-            miss_scratch: Vec::new(),
             chunk_latency: Arc::clone(&self.chunk_latency),
             certified: self.certified.clone(),
         }
@@ -1297,7 +1294,6 @@ impl Engine {
         if !leftovers.is_empty() {
             let mut kernel = SignatureKernel::new(self.cfg.set);
             let mut log = Vec::new();
-            let mut misses = Vec::new();
             for job in leftovers {
                 classify_job(
                     job,
@@ -1307,7 +1303,6 @@ impl Engine {
                     &self.processed,
                     &self.order,
                     &mut log,
-                    &mut misses,
                     &self.chunk_latency,
                     self.certified.as_deref(),
                 );
@@ -1421,28 +1416,24 @@ impl Drop for Engine {
     }
 }
 
-/// Classifies one chunk in two phases. Phase one probes the memo cache
-/// per entry: hits land in the store immediately, misses queue their
-/// entry index. Phase two keys **all misses of the chunk through one
-/// bit-sliced lane pass** ([`SignatureKernel::key_batch_with`]), so up
-/// to [`facepoint_sig::LANE_WIDTH`] same-arity functions share each
-/// Walsh–Hadamard butterfly. Progress is still counted **per
-/// function** — the kernel emits keys one at a time as it serializes
-/// each lane slot — so `pending()` and [`Engine::drain`] observe
-/// smooth, never-overshooting progress even mid-chunk. The chunk's
-/// `(seq, key)` pairs then stream into the order sink in one short
-/// lock and the submit→classified latency is recorded.
+/// Classifies one chunk in a single pass over its entries: each entry
+/// first probes the memo cache; a hit lands in the store at once, a
+/// miss is keyed through the scalar kernel ([`SignatureKernel::key`]),
+/// resolved, inserted and recorded in the cache before the next entry
+/// is looked at. Progress is counted **per function**, so `pending()`
+/// and [`Engine::drain`] observe smooth, never-overshooting progress
+/// even mid-chunk. The chunk's `(seq, key)` pairs then stream into the
+/// order sink in one short lock and the submit→classified latency is
+/// recorded.
 ///
-/// Allocation-free in steady state: the reused `log` and `misses`
-/// scratch stop growing once they have seen the largest chunk, and the
-/// kernel's lane buffers are warmed the same way.
+/// Allocation-free in steady state: the reused `log` stops growing
+/// once it has seen the largest chunk, and the kernel's scratch is
+/// warmed the same way.
 ///
-/// Accounting note: entries of one chunk that duplicate an *uncached*
-/// table are all keyed by the lane pass and all count as cache misses
-/// (the retired per-entry compute-or-insert path resolved intra-chunk
-/// repeats against the entry inserted moments earlier). `hits +
-/// misses` still equals the number of keyed functions, and cross-chunk
-/// repeats hit as before.
+/// Accounting note: every keyed function counts exactly once, as a
+/// cache hit or a miss, so `hits + misses` equals the number of keyed
+/// functions. A repeat later in the same chunk finds the entry its
+/// first occurrence just recorded and counts as a hit.
 #[allow(clippy::too_many_arguments)]
 fn classify_job(
     job: Job,
@@ -1452,55 +1443,44 @@ fn classify_job(
     processed: &AtomicU64,
     order: &OrderSink,
     log: &mut Vec<(u64, u128)>,
-    misses: &mut Vec<usize>,
     chunk_latency: &LatencyHistogram,
     certified: Option<&CertifiedResolve>,
 ) {
-    let submitted_at = job.submitted_at;
-    let entries = job.entries;
-    for (i, (seq, table)) in entries.iter().enumerate() {
-        if let Some(key) = cache.peek(table) {
-            store.insert(key, table, *seq);
-            log.push((*seq, key));
-            processed.fetch_add(1, Ordering::AcqRel);
-        } else {
-            // Placeholder; patched by the lane pass below.
-            log.push((*seq, 0));
-            misses.push(i);
-        }
+    for (seq, table) in &job.entries {
+        let key = match cache.peek(table) {
+            Some(key) => {
+                store.insert(key, table, *seq);
+                key
+            }
+            None => {
+                let digest = kernel.key(table);
+                // In certified mode the signature digest only names the
+                // bucket; the store key and the stored representative
+                // are the *proved* ones from the resolver. Either way
+                // the store insert lands before the cache records the
+                // key, so a dedup fast-path hit always finds an
+                // occupied entry.
+                let key = match certified {
+                    None => {
+                        store.insert(digest, table, *seq);
+                        digest
+                    }
+                    Some(tier) => {
+                        let (key, representative) = tier.resolve(digest, table);
+                        store.insert(key, &representative, *seq);
+                        key
+                    }
+                };
+                cache.record(table, key);
+                key
+            }
+        };
+        log.push((*seq, key));
+        processed.fetch_add(1, Ordering::AcqRel);
     }
-    let miss_idx: &[usize] = misses;
-    kernel.key_batch_with(
-        miss_idx.len(),
-        |j| &entries[miss_idx[j]].1,
-        |j, digest| {
-            let i = miss_idx[j];
-            let (seq, table) = &entries[i];
-            // In certified mode the signature digest only names the
-            // bucket; the store key and the stored representative are
-            // the *proved* ones from the resolver. Either way the
-            // store insert lands before the cache records the key, so
-            // a dedup fast-path hit always finds an occupied entry.
-            let key = match certified {
-                None => {
-                    store.insert(digest, table, *seq);
-                    digest
-                }
-                Some(tier) => {
-                    let (key, representative) = tier.resolve(digest, table);
-                    store.insert(key, &representative, *seq);
-                    key
-                }
-            };
-            cache.record(table, key);
-            log[i].1 = key;
-            processed.fetch_add(1, Ordering::AcqRel);
-        },
-    );
-    misses.clear();
     order.apply(log);
     log.clear();
-    chunk_latency.record_duration(submitted_at.elapsed());
+    chunk_latency.record_duration(job.submitted_at.elapsed());
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1521,7 +1501,6 @@ fn worker_loop(
     // steady-state worker allocates nothing per chunk.
     let mut kernel = SignatureKernel::new(set);
     let mut log: Vec<(u64, u128)> = Vec::new();
-    let mut misses: Vec<usize> = Vec::new();
     while let Some(job) = pool.next_item(me) {
         classify_job(
             job,
@@ -1531,7 +1510,6 @@ fn worker_loop(
             processed,
             order,
             &mut log,
-            &mut misses,
             chunk_latency,
             certified,
         );

@@ -6,9 +6,9 @@ use facepoint_bench::transform_closure_workload as workload;
 use facepoint_core::{signature_key, Classifier};
 use facepoint_engine::{Engine, EngineConfig};
 use facepoint_sig::SignatureSet;
-use facepoint_truth::TruthTable;
+use facepoint_truth::{NpnTransform, TruthTable};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 
 fn engine_with(workers: usize, set: SignatureSet, chunk_size: usize) -> Engine {
@@ -266,4 +266,117 @@ fn cache_is_transparent_and_hits() {
         "expected heavy cache traffic, saw {}",
         report.stats
     );
+}
+
+/// A shuffled mixed-arity cut stream: 4..=8-input sources, random NPN
+/// echoes of each, and exact repeats of earlier entries. Returns the
+/// stream and, per entry, the index of the source it was derived from.
+fn mixed_cut_stream(seed: u64) -> (Vec<TruthTable>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fns = Vec::new();
+    let mut source_of = Vec::new();
+    for n in 4..=8usize {
+        for _ in 0..16 {
+            let src = TruthTable::random(n, &mut rng).unwrap();
+            let id = source_of.len();
+            for _ in 0..3 {
+                fns.push(NpnTransform::random(n, &mut rng).apply(&src));
+                source_of.push(id);
+            }
+            fns.push(src);
+            source_of.push(id);
+        }
+    }
+    for _ in 0..200 {
+        let i = rng.random_range(0..fns.len());
+        fns.push(fns[i].clone());
+        source_of.push(source_of[i]);
+    }
+    for i in (1..fns.len()).rev() {
+        let j = rng.random_range(0..=i);
+        fns.swap(i, j);
+        source_of.swap(i, j);
+    }
+    (fns, source_of)
+}
+
+/// Regression for the single-pass miss path: chunks of 256 mixed-arity
+/// functions with repeats inside a chunk, keyed one miss at a time.
+/// Digest mode must equal the one-shot classifier with every stored
+/// key a `signature_key`, and count each function once as a cache hit
+/// or miss — a repeat inside the first chunk (which no submit-side
+/// dedup can catch) is a worker cache hit. Certified mode must create
+/// each class exactly once and never split an echo from its source.
+#[test]
+fn single_pass_miss_path_on_mixed_arity_chunks() {
+    let (fns, source_of) = mixed_cut_stream(0xC0751);
+    let total = fns.len() as u64;
+    let first_chunk = &fns[..256];
+    let in_chunk_repeats = first_chunk.len()
+        - first_chunk
+            .iter()
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+    assert!(
+        in_chunk_repeats > 0,
+        "the stream must repeat inside a chunk"
+    );
+    let cfg = |certified: bool| {
+        let builder = EngineConfig::builder()
+            .workers(2)
+            .chunk_size(256)
+            .cache_capacity(1 << 16);
+        if certified {
+            builder.certified().build()
+        } else {
+            builder.build()
+        }
+    };
+
+    let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
+    let mut engine = Engine::builder().config(cfg(false)).build().unwrap();
+    engine.submit_batch(fns.iter().cloned());
+    let report = engine.finish();
+    assert_eq!(report.classification.labels(), expected.labels());
+    let classes = report.classification.classes();
+    for (f, &label) in fns.iter().zip(report.classification.labels()) {
+        let key = signature_key(f, SignatureSet::all());
+        assert_eq!(
+            key,
+            signature_key(classes[label].representative(), SignatureSet::all())
+        );
+    }
+    for class in &report.census {
+        assert_eq!(
+            class.key,
+            signature_key(&class.representative, SignatureSet::all())
+        );
+    }
+    let stats = &report.stats;
+    assert_eq!(stats.functions_processed, total);
+    assert_eq!(stats.cache_hits + stats.cache_misses, total, "{stats}");
+    assert!(
+        stats.cache_hits - stats.dedup_hits >= in_chunk_repeats as u64,
+        "in-chunk repeats must hit the cache: {stats}"
+    );
+
+    let mut engine = Engine::builder().config(cfg(true)).build().unwrap();
+    engine.submit_batch(fns.iter().cloned());
+    let report = engine.finish();
+    let stats = &report.stats;
+    assert_eq!(stats.functions_processed, total);
+    assert_eq!(stats.cache_hits + stats.cache_misses, total, "{stats}");
+    assert_eq!(
+        stats.canon_walks + stats.canon_fallbacks,
+        stats.num_classes as u64,
+        "{stats}"
+    );
+    let labels = report.classification.labels();
+    let mut label_of_source = vec![usize::MAX; source_of.iter().max().unwrap() + 1];
+    for (&src, &label) in source_of.iter().zip(labels) {
+        if label_of_source[src] == usize::MAX {
+            label_of_source[src] = label;
+        }
+        assert_eq!(label_of_source[src], label, "an echo split from its source");
+    }
 }

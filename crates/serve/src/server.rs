@@ -117,7 +117,15 @@ struct Shared {
     /// `None` once shutdown has sealed the engine; requests arriving
     /// after that are answered with `ESHUTDOWN`.
     engine: Mutex<Option<Engine>>,
-    shutdown: AtomicBool,
+    /// Mirrors `engine.is_none()` without the lock: set under the
+    /// engine lock at the moment [`Shared::seal`] takes the engine
+    /// out, so `CANON` can refuse a sealed server without queueing
+    /// behind a `FLUSH` that holds the lock across its fsyncs.
+    sealed: AtomicBool,
+    /// The only state a [`ShutdownHandle`] shares: a handle kept alive
+    /// past [`Server::run`] must not pin the engine's store (and its
+    /// advisory file lock) through the rest of this struct.
+    shutdown: Arc<AtomicBool>,
     /// One clone of each **live** connection's stream, so shutdown can
     /// wake readers blocked in `read` (`TcpStream::shutdown` is the
     /// only portable interrupt for a blocking socket read). Handlers
@@ -140,7 +148,8 @@ impl Shared {
         let canon = engine.canon_handle();
         Shared {
             engine: Mutex::new(Some(engine)),
-            shutdown: AtomicBool::new(false),
+            sealed: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             conns: Mutex::new(std::collections::HashMap::new()),
             serve,
             canon,
@@ -154,6 +163,14 @@ impl Shared {
         self.engine
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Takes the engine out for shutdown; every request after this is
+    /// answered with `ESHUTDOWN`.
+    fn seal(&self) -> Option<Engine> {
+        let mut guard = self.lock_engine();
+        self.sealed.store(true, Ordering::SeqCst);
+        guard.take()
     }
 }
 
@@ -195,14 +212,14 @@ impl<W: Write> Write for CountingWrite<W> {
 /// sendable across threads; also wired to SIGTERM/SIGINT through
 /// [`signal::install`].
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<Shared>);
+pub struct ShutdownHandle(Arc<AtomicBool>);
 
 impl ShutdownHandle {
     /// Requests shutdown: the acceptor stops, in-flight requests get
     /// `ESHUTDOWN`, the engine is finished (final checkpoint included
     /// when durable) and [`Server::run`] returns.
     pub fn shutdown(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.0.store(true, Ordering::SeqCst);
     }
 }
 
@@ -246,7 +263,7 @@ impl Server {
 
     /// A handle that can stop this server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shared))
+        ShutdownHandle(Arc::clone(&self.shared.shutdown))
     }
 
     /// Serves until shutdown is requested (via [`ShutdownHandle`] or an
@@ -346,7 +363,7 @@ impl Server {
         drop(self.listener);
         // Seal the engine first: handlers answering after this point
         // see `None` and reply ESHUTDOWN.
-        let engine = self.shared.lock_engine().take();
+        let engine = self.shared.seal();
         // Wake readers blocked on their sockets, then join them.
         for (_, conn) in self
             .shared
@@ -553,12 +570,13 @@ fn dispatch(
             }
             match proto::parse_table_line(args) {
                 Ok(table) => {
-                    // Only the sealed check touches the engine lock;
-                    // the canonicalization itself (potentially a full
-                    // Gray-code walk) runs on this connection's thread
-                    // through the detached handle, so a heavy CANON
-                    // never stalls other connections' requests.
-                    if shared.lock_engine().is_none() {
+                    // CANON never takes the engine lock: the sealed
+                    // check is an atomic flag, and the canonicalization
+                    // itself (potentially a full Gray-code walk) runs
+                    // on this connection's thread through the detached
+                    // handle. A heavy CANON never stalls other
+                    // connections, and a FLUSH never stalls a CANON.
+                    if shared.sealed.load(Ordering::SeqCst) {
                         return shutdown_reply();
                     }
                     let answer = shared.canon.canon(&table);
@@ -1029,7 +1047,7 @@ mod tests {
         assert_eq!(st, Status::Ok);
         assert!(veteran.handle.is_some());
         // Seal as Server::run does at shutdown.
-        let engine = shared.lock_engine().take().unwrap();
+        let engine = shared.seal().unwrap();
         drop(engine.finish());
         let (st, _, act) = dispatch(&shared, &mut veteran, "SUBMIT d4", &mut empty());
         assert_eq!((st, act), (Status::Shutdown, Action::Close));
@@ -1059,6 +1077,34 @@ mod tests {
         let (st, body, act) = dispatch(&shared, &mut greeted(), "METRICS", &mut empty());
         assert_eq!((st, act), (Status::Ok, Action::Continue));
         assert!(body.contains("engine_workers "), "{body}");
+    }
+
+    /// `CANON` must not queue behind the engine lock, which `FLUSH`
+    /// holds across its journal fsyncs: with the lock held exactly as
+    /// `FLUSH` holds it, a `CANON` from another connection still
+    /// answers; once the engine is sealed, `CANON` says `ESHUTDOWN`.
+    #[test]
+    fn canon_answers_while_flush_holds_the_engine_lock() {
+        let shared = shared();
+        std::thread::scope(|scope| {
+            let flushing = shared.lock_engine();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let shared = &shared;
+            scope.spawn(move || {
+                let reply = dispatch(shared, &mut greeted(), "CANON e8", &mut empty());
+                let _ = tx.send(reply);
+            });
+            let reply = rx.recv_timeout(Duration::from_secs(30));
+            // Release before asserting, so a failure cannot leave the
+            // spawned CANON blocked and the scope hanging.
+            drop(flushing);
+            let (st, body, _) = reply.expect("CANON waited on the engine lock");
+            assert_eq!(st, Status::Ok, "{body}");
+            assert!(body.starts_with("key="), "{body}");
+        });
+        drop(shared.seal().unwrap().finish());
+        let (st, _, act) = dispatch(&shared, &mut greeted(), "CANON e8", &mut empty());
+        assert_eq!((st, act), (Status::Shutdown, Action::Close));
     }
 
     /// Every §4 opcode maps to its own latency series; unknown opcodes

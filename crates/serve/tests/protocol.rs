@@ -293,3 +293,46 @@ fn certified_server_proves_its_census_and_answers_canon() {
     let report = run.join().unwrap().unwrap().expect("engine report");
     assert_eq!(report.classification.num_classes(), expected.num_classes());
 }
+
+/// Regression: a [`ShutdownHandle`] still alive after [`Server::run`]
+/// returns must not keep the durable store's advisory lock, or an
+/// embedding process could never reopen its own census directory.
+#[test]
+fn live_shutdown_handle_does_not_pin_the_store_lock() {
+    let dir = std::env::temp_dir().join(format!("facepoint-serve-handle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        Engine::builder()
+            .config(EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            })
+            .persist(&dir)
+            .build()
+    };
+    let server = Server::bind("127.0.0.1:0", open().unwrap(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.shutdown_handle();
+    let run = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).unwrap();
+    client.submit("3:e8").unwrap();
+    client.wait_drained(DRAIN).unwrap();
+    // Hang up first: `run` joins every connection thread before it
+    // returns.
+    drop(client);
+    handle.shutdown();
+    let report = run.join().unwrap().unwrap().unwrap();
+    assert_eq!(report.stats.functions_processed, 1);
+
+    // `handle` is still alive here.
+    let reopened = open();
+    assert!(
+        reopened.is_ok(),
+        "reopen refused while a shutdown handle is alive: {:?}",
+        reopened.err()
+    );
+    let report = reopened.unwrap().finish();
+    assert_eq!(report.stats.recovered_members, 1);
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

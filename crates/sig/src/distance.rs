@@ -24,7 +24,7 @@
 //! (`WHT(WHT(a)²)/2^n`, then bin the `2^n` differences by popcount) —
 //! it is the frozen reference tail that [`crate::msv_reference`]
 //! benchmarks against. The kernel's fused sweep
-//! ([`osdv_point_sections_into`]) and the bit-sliced batch path use a
+//! ([`osdv_point_sections_into`]) uses a
 //! **single-transform, weight-binned** tail instead: with `W = WHT(a)`
 //! and the per-weight energies `E_w = Σ_{|s|=w} W[s]²`, the distance
 //! histogram is `δ_j = (Σ_w K_j(w)·E_w) / 2^{n+1}` where `K_j` are the
@@ -45,7 +45,7 @@ use std::fmt;
 /// counted pairwise while `p² < n·2^n` (the transform's operation
 /// count) and spectrally otherwise. One threshold serves both spectral
 /// tails — the classic autocorrelation of [`osdv_rows_into`] and the
-/// weight-binned tail of the fused and batched sweeps; with the
+/// weight-binned tail of the fused sweep; with the
 /// table-driven pairwise counter it measured best for the latter too.
 pub const fn classic_crossover(num_vars: usize) -> u64 {
     (num_vars as u64) << num_vars
@@ -329,8 +329,8 @@ pub fn osdv_point_sections_into(
 }
 
 /// Distance-histograms the two polarity groups of one sensitivity level
-/// into `row0`/`row1` — the level-granular engine dispatcher shared by
-/// the fused scalar sweep and the bit-sliced batch path.
+/// into `row0`/`row1` — the level-granular engine dispatcher of the
+/// fused sweep.
 ///
 /// When both groups clear the spectral crossover they share one
 /// transform: `S = WHT(g0 ∪ g1)` and `B = WHT(g1)` are computed, and

@@ -34,7 +34,6 @@ use crate::distance::{osdv_point_sections_into, OsdvEngine, OsdvScratch};
 use crate::influence::oiv_sorted_into;
 use crate::msv::{Msv, SignatureSet, STAGE_ORDER};
 use crate::sensitivity::SensitivityProfile;
-use crate::slices::LaneBatch;
 use crate::spectral::walsh_spectrum_sorted_abs_into;
 use facepoint_truth::TruthTable;
 
@@ -123,8 +122,6 @@ pub struct SigKernel {
     osdv: OsdvScratch,
     sec_a: Vec<u64>,
     sec_b: Vec<u64>,
-    /// Bit-sliced lane state for the batched entry points.
-    batch: LaneBatch,
 }
 
 impl SigKernel {
@@ -144,19 +141,6 @@ impl SigKernel {
         if set.contains(SignatureSet::OSDV) {
             self.ensure_rows(f);
         }
-        self.serialize_stages(f, set, sink);
-    }
-
-    /// The polarity-canonicalizing stage serializer shared by the
-    /// scalar ([`SigKernel::msv_to`]) and batched
-    /// ([`SigKernel::msv_to_batched`]) entry points; expects the
-    /// ingredient cache to be keyed to `f` already.
-    fn serialize_stages<S: MsvSink + ?Sized>(
-        &mut self,
-        f: &TruthTable,
-        set: SignatureSet,
-        sink: &mut S,
-    ) {
         sink.word(f.num_vars() as u64);
         let ones = f.count_ones();
         let zeros = f.num_bits() - ones;
@@ -219,90 +203,6 @@ impl SigKernel {
         let mut out = Vec::new();
         self.msv_to(f, set, &mut out);
         Msv::from_words_vec(out)
-    }
-
-    /// Computes the point-characteristic sections (`OSV0/1` histograms
-    /// and `OSDV0/1` row matrices) of a whole same-arity batch in one
-    /// bit-sliced lane pass (see [`crate::slices`]), priming the kernel
-    /// for [`SigKernel::msv_to_batched`] calls addressed by slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fns` is empty, longer than [`crate::LANE_WIDTH`], or
-    /// mixes arities.
-    pub fn batch_point_sections(&mut self, fns: &[TruthTable]) {
-        self.batch_point_sections_with(fns.len(), |i| &fns[i]);
-    }
-
-    /// Accessor-driven form of [`SigKernel::batch_point_sections`]:
-    /// batches `width` tables resolved through `at` without requiring
-    /// them to be contiguous in memory (the engine batches the cache
-    /// misses of a chunk this way, allocation-free).
-    pub fn batch_point_sections_with<'a>(
-        &mut self,
-        width: usize,
-        at: impl Fn(usize) -> &'a TruthTable,
-    ) {
-        self.batch.load_with(width, at);
-        self.batch.point_sections(OsdvEngine::Auto, &mut self.osdv);
-    }
-
-    /// Streams the canonical MSV of `f`, which must be slot `slot` of
-    /// the batch most recently loaded by
-    /// [`SigKernel::batch_point_sections`] (checked in debug builds):
-    /// the batch's precomputed point sections replace the scalar
-    /// sensitivity sweep, everything else — and the emitted words — is
-    /// byte-identical to [`SigKernel::msv_to`].
-    pub fn msv_to_batched<S: MsvSink + ?Sized>(
-        &mut self,
-        f: &TruthTable,
-        slot: usize,
-        set: SignatureSet,
-        sink: &mut S,
-    ) {
-        debug_assert!(
-            self.batch.slot_matches(slot, f),
-            "batch slot {slot} does not hold this table"
-        );
-        self.refresh_cache(f);
-        if set.contains(SignatureSet::OSV) || set.contains(SignatureSet::OSDV) {
-            let (h0, h1) = self.batch.hists(slot);
-            self.h0.clear();
-            self.h0.extend_from_slice(h0);
-            self.h1.clear();
-            self.h1.extend_from_slice(h1);
-            self.hists_valid = true;
-            if set.contains(SignatureSet::OSDV) {
-                let (r0, r1) = self.batch.rows(slot);
-                self.rows0.clear();
-                self.rows0.extend_from_slice(r0);
-                self.rows1.clear();
-                self.rows1.extend_from_slice(r1);
-                self.rows_valid = true;
-            }
-        }
-        self.serialize_stages(f, set, sink);
-    }
-
-    /// Batched canonical MSVs of one lane batch — the owned-result
-    /// convenience over [`SigKernel::batch_point_sections`] plus
-    /// [`SigKernel::msv_to_batched`] (scratch is reused, the returned
-    /// vectors allocate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fns` is empty, longer than [`crate::LANE_WIDTH`], or
-    /// mixes arities.
-    pub fn msv_batch(&mut self, fns: &[TruthTable], set: SignatureSet) -> Vec<Msv> {
-        self.batch_point_sections(fns);
-        fns.iter()
-            .enumerate()
-            .map(|(slot, f)| {
-                let mut out = Vec::new();
-                self.msv_to_batched(f, slot, set, &mut out);
-                Msv::from_words_vec(out)
-            })
-            .collect()
     }
 
     /// Writes the polarity-fixed (raw) MSV into `out`: the serialization
@@ -617,29 +517,6 @@ mod tests {
                 let (a, b) = kernel.stage_sections_dual(&f, stage);
                 assert_eq!(a, expect.as_slice(), "dual keep, stage = {stage}");
                 assert_eq!(b, expect_neg.as_slice(), "dual negate, stage = {stage}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_msv_is_byte_identical_to_scalar() {
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        let mut kernel = SigKernel::new();
-        for n in 0..=7usize {
-            let fns: Vec<TruthTable> = (0..17)
-                .map(|_| TruthTable::random(n, &mut rng).unwrap())
-                .collect();
-            for set in [
-                SignatureSet::all(),
-                SignatureSet::all_extended(),
-                SignatureSet::OSV,
-                SignatureSet::OSDV,
-                SignatureSet::EMPTY,
-            ] {
-                let batched = kernel.msv_batch(&fns, set);
-                for (f, b) in fns.iter().zip(&batched) {
-                    assert_eq!(*b, kernel.msv(f, set), "n = {n}, set = {set}, f = {f}");
-                }
             }
         }
     }

@@ -16,10 +16,7 @@ use facepoint_truth::TruthTable;
 /// `2^n`).
 ///
 /// Uses the butterfly `(u, v) → (u + v, u − v)`; applying the transform
-/// twice multiplies every entry by the length. With the `wide` cargo
-/// feature the levels with stride `h ≥ 4` run four lanes at a time on
-/// hand-rolled `[u64; 4]` vectors; two's-complement wrapping arithmetic
-/// makes that path bit-for-bit identical to this scalar butterfly.
+/// twice multiplies every entry by the length.
 ///
 /// # Panics
 ///
@@ -29,12 +26,6 @@ pub fn wht_in_place(data: &mut [i64]) {
     assert!(n.is_power_of_two(), "WHT length must be a power of two");
     let mut h = 1;
     while h < n {
-        #[cfg(feature = "wide")]
-        if h >= 4 {
-            butterfly_level_wide(data, h);
-            h *= 2;
-            continue;
-        }
         butterfly_level(data, h);
         h *= 2;
     }
@@ -51,62 +42,6 @@ fn butterfly_level(data: &mut [i64], h: usize) {
             let b = *v;
             *u = a + b;
             *v = a - b;
-        }
-    }
-}
-
-/// Hand-rolled `u64x4`-as-`[u64; 4]` lanes for the `wide` feature: the
-/// array form keeps the code std-only while giving the optimizer four
-/// independent, alias-free lanes per step. Two's-complement wrapping
-/// add/sub on `u64` is bitwise equal to `i64` add/sub, so results match
-/// the scalar path exactly.
-#[cfg(feature = "wide")]
-mod wide_ops {
-    /// Four 64-bit lanes, processed as one unit.
-    pub(super) type U64x4 = [u64; 4];
-
-    #[inline]
-    pub(super) fn add4(a: U64x4, b: U64x4) -> U64x4 {
-        [
-            a[0].wrapping_add(b[0]),
-            a[1].wrapping_add(b[1]),
-            a[2].wrapping_add(b[2]),
-            a[3].wrapping_add(b[3]),
-        ]
-    }
-
-    #[inline]
-    pub(super) fn sub4(a: U64x4, b: U64x4) -> U64x4 {
-        [
-            a[0].wrapping_sub(b[0]),
-            a[1].wrapping_sub(b[1]),
-            a[2].wrapping_sub(b[2]),
-            a[3].wrapping_sub(b[3]),
-        ]
-    }
-}
-
-/// One butterfly level at stride `h ≥ 4`, four lanes at a time.
-#[cfg(feature = "wide")]
-#[inline]
-fn butterfly_level_wide(data: &mut [i64], h: usize) {
-    use wide_ops::{add4, sub4, U64x4};
-    debug_assert!(h >= 4 && h.is_power_of_two());
-    for block in data.chunks_exact_mut(2 * h) {
-        let (lo, hi) = block.split_at_mut(h);
-        for (u, v) in lo.chunks_exact_mut(4).zip(hi.chunks_exact_mut(4)) {
-            let a: U64x4 = [u[0] as u64, u[1] as u64, u[2] as u64, u[3] as u64];
-            let b: U64x4 = [v[0] as u64, v[1] as u64, v[2] as u64, v[3] as u64];
-            let s = add4(a, b);
-            let d = sub4(a, b);
-            u[0] = s[0] as i64;
-            u[1] = s[1] as i64;
-            u[2] = s[2] as i64;
-            u[3] = s[3] as i64;
-            v[0] = d[0] as i64;
-            v[1] = d[1] as i64;
-            v[2] = d[2] as i64;
-            v[3] = d[3] as i64;
         }
     }
 }
